@@ -80,6 +80,10 @@ DEFAULT_CONNECT_TIMEOUT = 60.0
 #: ordinary attempt failures (crash-loop circuit breaker).
 DEFAULT_REASSIGN_LIMIT = 3
 
+#: Seconds :meth:`PoolBackend.close` waits for spawned workers to exit
+#: on the shutdown message before sending SIGTERM.
+SHUTDOWN_GRACE = 2.0
+
 #: Per-socket I/O timeout (bounds a blocking sendall to a stuck peer).
 _IO_TIMEOUT = 30.0
 
@@ -158,6 +162,7 @@ class PoolBackend(ExecutionBackend):
         self._sel: Optional[selectors.BaseSelector] = None
         self._conns: Dict[socket.socket, _PoolWorker] = {}
         self._procs: List[subprocess.Popen] = []
+        self._greeted_pids: set = set()
         self._losses: Dict[int, int] = {}
         self._epoch = 0
 
@@ -186,13 +191,23 @@ class PoolBackend(ExecutionBackend):
         return host, port
 
     def close(self) -> None:
-        """Shut the pool down: ask workers to exit, reap subprocesses."""
+        """Shut the pool down: ask workers to exit, reap subprocesses.
+
+        Spawned workers get :data:`SHUTDOWN_GRACE` seconds to exit on
+        the shutdown message before they are sent SIGTERM.
+        """
         for worker in list(self._conns.values()):
             try:
                 send_message(worker.sock, (MSG_SHUTDOWN,))
             except OSError:
                 pass
             self._close_worker(worker)
+        grace_end = time.monotonic() + SHUTDOWN_GRACE
+        for proc in self._procs:
+            try:
+                proc.wait(timeout=max(0.0, grace_end - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                pass
         if self._listener is not None:
             try:
                 self._sel.unregister(self._listener)
@@ -216,6 +231,7 @@ class PoolBackend(ExecutionBackend):
                 except subprocess.TimeoutExpired:
                     pass
         self._procs = []
+        self._greeted_pids = set()
 
     def describe(self) -> dict:
         info = {"backend": self.name, "workers": self.workers,
@@ -237,6 +253,7 @@ class PoolBackend(ExecutionBackend):
             _PendingUnit(unit[0], 1, 0) for unit in ctx.units
         ]
         active: Dict[int, _PoolWorker] = {}
+        self._await_spawned(ctx)
         drain_deadline: Optional[float] = None
         no_worker_since = time.monotonic()
         while pending or active:
@@ -271,6 +288,26 @@ class PoolBackend(ExecutionBackend):
                     f"no live workers for {self.connect_timeout:g} s with "
                     f"{len(pending) + len(active)} unit(s) outstanding "
                     f"(listening on {self.address[0]}:{self.address[1]})")
+
+    def _await_spawned(self, ctx: ExecutionContext) -> None:
+        """Hold the first dispatch until every spawned worker has joined.
+
+        Waits until each local worker process has sent HELLO or exited,
+        for at most ``connect_timeout`` seconds (or until a stop is
+        requested); after that the campaign runs on whoever joined. A
+        worker that joined once never holds a later run back, even if
+        it has since been lost.
+        """
+        deadline = time.monotonic() + self.connect_timeout
+        while not ctx.should_stop() and time.monotonic() < deadline:
+            if all(proc.pid in self._greeted_pids or proc.poll() is not None
+                   for proc in self._procs):
+                return
+            for key, _ in self._sel.select(0.05):
+                if key.data == "listener":
+                    self._accept()
+                else:
+                    self._read_worker(ctx, key.data, [], {})
 
     # -- dispatch ----------------------------------------------------------
 
@@ -361,6 +398,8 @@ class PoolBackend(ExecutionBackend):
             ident = info.get("worker") if isinstance(info, dict) else None
             if ident:
                 worker.ident = str(ident)
+            if isinstance(info, dict) and "pid" in info:
+                self._greeted_pids.add(info["pid"])
             if not worker.greeted:
                 worker.greeted = True
                 self.counters["workers_joined"] += 1

@@ -61,13 +61,18 @@ EXIT_INTERRUPTED = 130
 
 _busy = False
 _draining = False
+_exiting = False
 
 
 def _on_signal(signum, frame) -> None:
-    """Drain: finish the in-flight unit, then exit; idle exits now."""
+    """Drain: finish the in-flight unit, then exit; idle exits now.
+
+    Once :func:`run_worker` is on its way out the signal only sets the
+    flag: raising there would print a traceback from its cleanup.
+    """
     global _draining
     _draining = True
-    if not _busy:
+    if not _busy and not _exiting:
         raise KeyboardInterrupt
 
 
@@ -120,9 +125,10 @@ def _execute_unit(sock, lock: threading.Lock, message) -> None:
 def run_worker(host: str, port: int,
                connect_timeout: float = 30.0) -> int:
     """Serve units from one coordinator until told (or made) to stop."""
-    global _busy, _draining
+    global _busy, _draining, _exiting
     _busy = False
     _draining = False
+    _exiting = False
     sock = socket.create_connection((host, port), timeout=connect_timeout)
     sock.settimeout(None)
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -159,7 +165,10 @@ def run_worker(host: str, port: int,
                 return EXIT_INTERRUPTED
     except (ConnectionClosed, BrokenPipeError):
         return 0
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
     finally:
+        _exiting = True
         try:
             sock.close()
         except OSError:  # pragma: no cover

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +64,186 @@ def _advance_rng(rng: random.Random, nwords: int) -> None:
                   gauss))
 
 
+#: Words MT19937 generates per twist of its state.
+_MT_BLOCK = 624
+
+
+def _untemper(outputs: np.ndarray) -> np.ndarray:
+    """The MT19937 state words behind 624 tempered outputs."""
+    y = outputs.astype(np.uint32)
+    y ^= y >> 18
+    y ^= (y << 15) & np.uint32(0xEFC60000)
+    x = y.copy()
+    for _ in range(4):  # 7 more low bits settle per pass
+        x = y ^ ((x << 7) & np.uint32(0x9D2C5680))
+    y = x.copy()
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+def _set_rng_after(rng: random.Random, words: np.ndarray,
+                   consumed: int) -> None:
+    """Put ``rng`` where it is after drawing ``words[:consumed]``.
+
+    ``words`` are the next outputs of ``rng``'s generator, ending on a
+    state-block boundary. MT19937's state after a word of block ``b``
+    is block ``b``'s untempered words plus the word's offset, so it is
+    read off the buffer instead of drawn a second time.
+    """
+    version, internal, gauss = rng.getstate()
+    offset = internal[-1]
+    position = offset + consumed
+    if position <= _MT_BLOCK:
+        state = internal[:-1] + (position,)
+    else:
+        block = (position - 1) // _MT_BLOCK
+        first = block * _MT_BLOCK - offset
+        key = _untemper(words[first:first + _MT_BLOCK])
+        state = tuple(key.tolist()) + (position - block * _MT_BLOCK,)
+    rng.setstate((version, state, gauss))
+
+
+#: Words between the starts of the lockstep chains of :func:`_pair_orbit`.
+_CHAIN_STRIDE = 1024
+
+#: Words past the next chain's start within which neighbouring chains
+#: must meet, or :meth:`SkewedPartitioner.exact_counts` falls back to
+#: the per-pair loop. Measured over 93k pairs of chains (1 to 100
+#: reducers): a median of 2-4 words, at most 73.
+_MERGE_MARGIN = 256
+
+#: Words drawn per pair beyond the expected consumption; an orbit that
+#: still outruns the buffer redraws it twice as long.
+_SPARE_PER_PAIR = 0.05
+
+
+def _loop_counts(draw, num_reduces: int, n_pairs: int) -> np.ndarray:
+    """Tally ``n_pairs`` calls of ``draw()`` into per-reducer counts."""
+    counts = [0] * num_reduces
+    for _ in range(n_pairs):
+        counts[draw()] += 1
+    return np.asarray(counts, dtype=np.int64)
+
+
+def _head_table(thresholds: Sequence[float]) -> np.ndarray:
+    """Head reducer per top-six-bit slice of a ``random()``'s first word.
+
+    ``random()`` is ``(a * 2**26 + b) / 2**53`` with ``a`` the first
+    word's top 27 bits, so for a threshold ``T / 64`` the test
+    ``u < T / 64`` holds exactly when ``a >> 21`` -- the word's top six
+    bits -- is below ``T``. Entries past the last threshold are -1
+    (the pair goes to the uniform tail).
+    """
+    table = np.full(64, -1, dtype=np.int8)
+    low = 0
+    for reducer, threshold in enumerate(thresholds):
+        high = int(threshold * 64)
+        table[low:high] = reducer
+        low = high
+    return table
+
+
+def _jump_table(words: np.ndarray, head_below: int,
+                accept_below: int) -> np.ndarray:
+    """``next(p)``: where the pair after a pair starting at word ``p`` starts.
+
+    A head pair (first word below ``head_below``) eats two words, so
+    ``next(p) = p + 2``. A tail pair then draws until a word below
+    ``accept_below`` (``randrange``'s ``getrandbits(k) < n``), so
+    ``next(p)`` is one past the first accepted word at or after
+    ``p + 2`` -- always more than ``p + 2``, hence
+    ``next(p) = max(p + 2, tail(p) * after_accept(p + 2))``, with no
+    data-dependent branch. The result is int32 (int64 for huge
+    buffers) with two extra slots; ``len(words) + 1`` marks a pair that
+    runs off the buffer and maps to itself.
+    """
+    size = len(words)
+    overflow = size + 1
+    dtype = np.int32 if size < 2**30 else np.int64
+    index = np.arange(1, size + 3, dtype=dtype)  # index[i] = i + 1
+    # One past each accepted word's position, the overflow mark for a
+    # rejected one; a reversed running minimum then gives, for every
+    # position, one past the first accepted word at or after it.
+    after = (words >= accept_below).view(np.uint8) * dtype(overflow)
+    np.maximum(after, index[:size], out=after)
+    after_accept = np.empty(size + 2, dtype=dtype)
+    after_accept[size:] = overflow
+    np.minimum.accumulate(after[::-1], out=after_accept[size - 1::-1])
+    del after
+    tail = (words >= head_below).view(np.uint8)
+    nxt = np.empty(size + 2, dtype=dtype)
+    nxt[size:] = overflow
+    np.multiply(after_accept[2:], tail, out=nxt[:size])
+    np.maximum(nxt[:size], index[1:size + 1], out=nxt[:size])
+    return nxt
+
+
+def _pair_orbit(nxt: np.ndarray, count: int, stride: int,
+                margin: int) -> Optional[np.ndarray]:
+    """The first ``count`` points of the orbit of 0 under ``nxt``.
+
+    Chains start at every ``stride``-th position and follow ``nxt`` in
+    lockstep until each has covered its own window plus ``margin``.
+    Chain ``k`` meets chain ``k + 1`` at the first of its positions in
+    ``[b, b + margin)``, ``b`` being chain ``k + 1``'s start, that chain
+    ``k + 1`` also visits; from there on the two coincide. Only chain
+    ``k + 1`` marks positions in that range (each chain marks its own
+    window), so a hit is a true meeting point. Chain 0's positions up
+    to its meeting point, then chain 1's up to the next, and so on, are
+    the orbit of 0, already in order.
+
+    Returns None if a chain the orbit needs does not meet its successor
+    within ``margin``; returns fewer than ``count`` points if the orbit
+    leaves the buffer (``len(nxt) - 2`` words) first.
+    """
+    size = len(nxt) - 2
+    span = (stride + margin) // 2 + 1  # each step advances >= 2 words
+    starts = np.arange(0, size, stride, dtype=nxt.dtype)
+    chains = len(starts)
+    covered = np.minimum(starts + (stride + margin), size + 1)
+    rows = [starts]
+    for step in range(1, span):
+        rows.append(nxt.take(rows[-1]))
+        if step % 64 == 0 and (rows[-1] >= covered).all():
+            break
+    path = np.vstack(rows)
+    steps = len(rows)
+    del rows
+    begin = np.zeros(chains, dtype=np.intp)
+    end = np.full(chains, steps, dtype=np.intp)
+    last = chains - 1
+    if last:
+        reach = min(steps, margin // 2 + 1)  # rows spanning `margin` words
+        bounds = starts[1:]
+        cols = np.arange(last)
+        # Chain k + 1 reaches past b + margin within `reach` rows.
+        marks = np.zeros(size + 2 + stride, dtype=bool)
+        marks[np.minimum(path[:reach], starts + stride)] = True
+        # Rows where chain k is in [b, b + margin) of chain k + 1.
+        cross = (path[:, :-1] < bounds).sum(axis=0)
+        band = np.minimum(cross + np.arange(reach)[:, None], steps - 1)
+        near = path[band, cols]
+        hit = (near >= bounds) & (near < bounds + margin) & marks[near]
+        met = hit.any(axis=0)
+        first = hit.argmax(axis=0)
+        end[:-1] = np.where(met, cross + first, steps)
+        meet = near[first, cols]
+        begin[1:] = (path[:reach, 1:] < meet).sum(axis=0)
+        total = np.cumsum(end - begin)
+        last = min(int(np.searchsorted(total, count)), last)
+        stray = np.flatnonzero(~met[:last])
+        if len(stray):
+            first_stray = int(stray[0])
+            if bounds[first_stray] + margin <= size:
+                return None
+            last = first_stray  # the orbit leaves the buffer in this chain
+    orbit = np.concatenate(
+        [path[begin[k]:end[k], k] for k in range(last + 1)])[:count]
+    # Drop the overflow marks past the end of the buffer.
+    return orbit[:np.searchsorted(orbit, size, side="right")]
+
+
 class Partitioner(abc.ABC):
     """Assigns each intermediate pair to a reduce partition."""
 
@@ -95,10 +275,8 @@ class Partitioner(abc.ABC):
         ``tests/core/test_exact_counts.py``).
         """
         get_partition = self.get_partition
-        counts = [0] * self.num_reduces
-        for _ in range(n_pairs):
-            counts[get_partition(None, None)] += 1
-        return np.asarray(counts, dtype=np.int64)
+        return _loop_counts(lambda: get_partition(None, None),
+                            self.num_reduces, n_pairs)
 
     def expected_distribution(self) -> List[float]:
         """Long-run fraction of pairs per reducer (sums to 1).
@@ -222,54 +400,75 @@ class SkewedPartitioner(Partitioner):
         self._rng = random.Random(self.seed)
 
     def exact_counts(self, n_pairs: int) -> np.ndarray:
-        """Replay of the head-or-tail draw over the raw word stream.
+        """Vectorized replay of the head-or-tail draw over the raw words.
 
-        The per-pair word consumption is data-dependent (``random()``
-        always eats two words; a tail pair then runs ``randrange``'s
-        rejection loop), so this walks pairs in Python — but over a
-        pre-drawn word buffer with plain arithmetic, which is several
-        times cheaper than the method-dispatch loop it replaces.
+        A pair's word consumption is data-dependent (``random()`` eats
+        two words; a tail pair then runs ``randrange``'s rejection
+        loop), so the pair starts are found as the orbit of word 0
+        under the jump function ``next(p)`` of :func:`_jump_table`:
+
+        * **Head test by lookup table.** The head thresholds 1/2, 5/8
+          and 43/64 are multiples of 1/64, and ``random()``'s 53-bit
+          numerator has the pair's first word as its top 32 bits. So
+          ``u < t`` holds exactly when the word's top six bits are below
+          ``64 t``: a 64-entry table (:func:`_head_table`) gives each
+          pair's head reducer with no float arithmetic.
+        * **Orbit stitch.** :func:`_pair_orbit` follows ``next`` from
+          every ``_CHAIN_STRIDE``-th word in lockstep; neighbouring
+          chains meet within a few words, and the pieces of each chain
+          between consecutive meeting points join into the orbit of 0.
+        * **Fallback.** If two neighbouring chains do not meet within
+          ``_MERGE_MARGIN`` words, the per-pair loop runs instead; a
+          buffer the orbit outruns is redrawn twice as long.
+
+        The words are the ones ``self._rng`` would draw, taken from a
+        copy of its MT19937 state, and the PRNG is then set to its state
+        after exactly the words the pairs consumed (untempered from the
+        buffer by :func:`_set_rng_after`) — so counts and the state left
+        behind are bit-identical to calling :meth:`get_partition`
+        ``n_pairs`` times (checked against that loop in
+        ``tests/core/test_exact_counts.py``).
         """
         n = self.num_reduces
         if n_pairs <= 0:
             return np.zeros(n, dtype=np.int64)
         head = min(len(self._HEAD), n - 1)
-        thresholds = self._HEAD[:head]
+        table = _head_table(self._HEAD[:head])
+        head_tops = int(np.count_nonzero(table >= 0))
         k = n.bit_length()
         shift = 32 - k
-        mt = _mt_from(self._rng)
-        counts = [0] * n
-        scale = _RANDOM_SCALE
-        tail_prob = 1.0 - (thresholds[-1] if head else 0.0)
-        words_per_pair = 2.0 + tail_prob * (1 << k) / n + 0.05
-        buf = mt.random_raw(int(n_pairs * words_per_pair) + 256).tolist()
-        retired = 0  # words in fully-consumed, discarded buffers
-        i = 0
-        size = len(buf)
-        for _ in range(n_pairs):
-            if i + 2 > size:
-                retired += i
-                buf = buf[i:] + mt.random_raw(4096).tolist()
-                i, size = 0, len(buf)
-            u = ((buf[i] >> 5) * 67108864 + (buf[i + 1] >> 6)) * scale
-            i += 2
-            for reducer, threshold in enumerate(thresholds):
-                if u < threshold:
-                    counts[reducer] += 1
-                    break
-            else:
-                while True:
-                    if i == size:
-                        retired += i
-                        buf = mt.random_raw(4096).tolist()
-                        i, size = 0, len(buf)
-                    r = buf[i] >> shift
-                    i += 1
-                    if r < n:
-                        counts[r] += 1
-                        break
-        _advance_rng(self._rng, retired + i)
-        return np.asarray(counts, dtype=np.int64)
+        tail_prob = 1.0 - (self._HEAD[head - 1] if head else 0.0)
+        words_per_pair = 2.0 + tail_prob * (1 << k) / n + _SPARE_PER_PAIR
+        size = int(n_pairs * words_per_pair) + 256
+        offset = self._rng.getstate()[1][-1]  # words drawn from the block
+        while True:
+            # Whole MT blocks, so the state after any prefix is at hand.
+            size += -(offset + size) % _MT_BLOCK
+            words = _mt_from(self._rng).random_raw(size).view(np.int64)
+            nxt = _jump_table(words, head_tops << 26, n << shift)
+            orbit = _pair_orbit(nxt, n_pairs + 1, _CHAIN_STRIDE,
+                                _MERGE_MARGIN)
+            if orbit is None:  # chains failed to meet: replay per pair
+                return _loop_counts(
+                    lambda: SkewedPartitioner.get_partition(self, None, None),
+                    n, n_pairs)
+            if len(orbit) > n_pairs:
+                break
+            size *= 2
+        del nxt
+        # Head pairs tally by their first word's top six bits; a tail
+        # pair's reducer is its accepted word, the last one it eats.
+        tops = words[orbit[:-1]] >> 26
+        accepted = words[orbit[1:] - 1] >> shift
+        # Weighting by the tail flag leaves head pairs out of the tail
+        # tally without a data-dependent branch (exact below 2**53).
+        counts = np.bincount(accepted, weights=tops >= head_tops,
+                             minlength=n)[:n].astype(np.int64)
+        by_top = np.bincount(tops, minlength=64)
+        for reducer in range(head):
+            counts[reducer] += by_top[table == reducer].sum()
+        _set_rng_after(self._rng, words, int(orbit[-1]))
+        return counts
 
     def expected_distribution(self) -> List[float]:
         n = self.num_reduces

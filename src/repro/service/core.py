@@ -14,11 +14,15 @@ plain thread-safe synchronous code (the asyncio front end calls it via
 * a :class:`~repro.service.scheduler.ColdScheduler` thread pushing
   cold points through the campaign executor.
 
-Accounting: the service counts its own request-level traffic (warm
-hits, cold misses, coalesced joins) and flushes warm hits into the
-store's lifetime ``hits`` counter in batches — one counter write per
-:data:`HIT_FLUSH_THRESHOLD` requests instead of one per request, which
-is what keeps the warm path fast enough for the traffic benchmark.
+Accounting: every request counts as exactly one of ``warm_hits``
+(answered from the store), ``cold_misses`` (queued a simulation),
+``coalesced`` (answered by an existing ticket: joined in flight, a
+sticky failed verdict, or a poll by key), ``rejected`` (queue full),
+``bad_requests`` or ``not_found``, so those six sum to ``requests``.
+Warm hits are flushed into the store's lifetime ``hits`` counter in
+batches — one counter write per :data:`HIT_FLUSH_THRESHOLD` requests
+instead of one per request, which is what keeps the warm path fast
+enough for the traffic benchmark.
 Cold points are *not* double-counted: the executor's store lookup
 already records their miss, exactly as a campaign run would.
 """
@@ -36,6 +40,7 @@ from repro.service.query import parse_point_query
 from repro.service.scheduler import DEFAULT_MAX_QUEUE, ColdScheduler
 from repro.service.singleflight import (
     CANCELLED,
+    DONE,
     FAILED,
     SingleFlight,
     Ticket,
@@ -180,13 +185,22 @@ class BenchmarkService:
                 200, dump_record_text(record).encode("utf-8"))
         ticket, created = self.flight.admit(query.key, query)
         if created:
-            self._count("cold_misses")
+            # The point may have landed since the lookup above (its
+            # ticket resolved and left the table in between): answer
+            # from the store instead of queueing a second unit.
+            record = self.store.fetch_record(query.key)
+            if record is not None:
+                self.flight.resolve(ticket, DONE)
+                self._record_warm_hit()
+                return ServiceResponse(
+                    200, dump_record_text(record).encode("utf-8"))
             if not self.scheduler.submit(ticket):
                 self.flight.resolve(ticket, CANCELLED,
                                     "cold-point queue is full")
                 self._count("rejected")
                 return ServiceResponse(503, ticket.snapshot())
-        elif not ticket.resolved:
+            self._count("cold_misses")
+        else:
             self._count("coalesced")
         if timeout is not None and not ticket.resolved:
             ticket.wait(timeout)
@@ -213,6 +227,7 @@ class BenchmarkService:
                 200, dump_record_text(record).encode("utf-8"))
         ticket = self.flight.get(key)
         if ticket is not None:
+            self._count("coalesced")
             return self._ticket_response(ticket)
         self._count("not_found")
         return ServiceResponse(404, {

@@ -393,3 +393,34 @@ class TestLeaseLedger:
             assert entry["expires_at"] > entry["acquired_at"]
         assert store.leases() == {}           # ...and every lease released
         assert store.stats()["leases"] == 0
+
+
+class TestShutdown:
+    def test_close_lets_workers_exit_without_traceback(
+            self, campaign, tmp_path, capfd):
+        """Spawned workers exit on the shutdown message, before any
+        SIGTERM, and none prints a traceback on the shared stderr."""
+        backend = PoolBackend(workers=2, lease=5.0)
+        try:
+            result = run_campaign(campaign,
+                                  store=ResultStore(tmp_path / "store"),
+                                  backend=backend)
+            assert result.completed
+            assert backend.counters["workers_joined"] == 2
+            procs = list(backend._procs)
+        finally:
+            backend.close()
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_signal_while_exiting_does_not_raise(self, monkeypatch):
+        from repro.campaign import worker
+
+        monkeypatch.setattr(worker, "_busy", False)
+        monkeypatch.setattr(worker, "_draining", False)
+        monkeypatch.setattr(worker, "_exiting", True)
+        worker._on_signal(signal.SIGTERM, None)  # must not raise
+        assert worker._draining
+        monkeypatch.setattr(worker, "_exiting", False)
+        with pytest.raises(KeyboardInterrupt):
+            worker._on_signal(signal.SIGTERM, None)

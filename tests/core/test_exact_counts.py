@@ -7,6 +7,7 @@ count (powers of two take no rejection draws; others do) and pair count
 (including refill-boundary sizes).
 """
 
+import pathlib
 import random
 
 import numpy as np
@@ -14,6 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import partitioners
+from repro.core.matrix import (
+    EXACT_LIMIT,
+    clear_matrix_cache,
+    compute_shuffle_matrix,
+)
 from repro.core.partitioners import make_partitioner
 
 PATTERNS = ("avg", "rand", "skew", "zipf", "skew-split")
@@ -86,3 +93,106 @@ def test_avg_continues_round_robin_pointer():
     for chunk in (3, 13, 70):
         assert fast.exact_counts(chunk).tolist() == _loop_counts(slow, chunk)
     assert fast._next == slow._next
+
+
+#: Pairs per map of the Fig. 2(c) 4 GB point (the largest exact row).
+FIG2C_ROW = 240_848
+
+
+def _assert_skew_matches_loop(num_reduces, n_pairs, seed):
+    fast = make_partitioner("skew", num_reduces, seed=seed)
+    slow = make_partitioner("skew", num_reduces, seed=seed)
+    assert fast.exact_counts(n_pairs).tolist() == \
+        _loop_counts(slow, n_pairs)
+    assert _state(fast) == _state(slow)
+
+
+class TestSkewOrbitReplay:
+    """The vectorized MR-SKEW replay against the ``get_partition`` loop:
+    full-size rows, chain-boundary sizes, and both of its rare paths
+    (the per-pair fallback and the buffer redraw), forced."""
+
+    @pytest.mark.parametrize("seed", [20140901, 7])
+    @pytest.mark.parametrize("num_reduces", [1, 3, 8])
+    @pytest.mark.parametrize("n_pairs", [FIG2C_ROW, EXACT_LIMIT])
+    def test_full_size_rows(self, n_pairs, num_reduces, seed):
+        _assert_skew_matches_loop(num_reduces, n_pairs, seed)
+
+    @pytest.mark.parametrize("num_reduces", [1, 8, 17])
+    def test_sizes_at_the_chain_boundaries(self, num_reduces):
+        stride = partitioners._CHAIN_STRIDE
+        # A chain runs at most `span` steps; each owns `stride` words.
+        span = (stride + partitioners._MERGE_MARGIN) // 2 + 1
+        for n_pairs in (span - 2, span - 1, span, stride - 1, stride,
+                        stride + 1):
+            _assert_skew_matches_loop(num_reduces, n_pairs, seed=3)
+
+    def test_many_small_chains(self, monkeypatch):
+        monkeypatch.setattr(partitioners, "_CHAIN_STRIDE", 64)
+        monkeypatch.setattr(partitioners, "_MERGE_MARGIN", 48)
+        for n_pairs in (63, 64, 65, 127, 128, 129, 3_000):
+            _assert_skew_matches_loop(8, n_pairs, seed=11)
+
+    def test_chains_that_do_not_meet_fall_back_exactly(self, monkeypatch):
+        monkeypatch.setattr(partitioners, "_CHAIN_STRIDE", 16)
+        monkeypatch.setattr(partitioners, "_MERGE_MARGIN", 1)
+        calls = []
+        real = partitioners._loop_counts
+
+        def spy(draw, num_reduces, n_pairs):
+            calls.append(n_pairs)
+            return real(draw, num_reduces, n_pairs)
+
+        monkeypatch.setattr(partitioners, "_loop_counts", spy)
+        for num_reduces in (1, 3, 8):
+            _assert_skew_matches_loop(num_reduces, 5_000, seed=5)
+        assert calls == [5_000, 5_000, 5_000]
+
+    def test_split_skew_fallback_does_not_split_twice(self, monkeypatch):
+        monkeypatch.setattr(partitioners, "_CHAIN_STRIDE", 16)
+        monkeypatch.setattr(partitioners, "_MERGE_MARGIN", 1)
+        fast = make_partitioner("skew-split", 8, seed=5)
+        slow = make_partitioner("skew-split", 8, seed=5)
+        assert fast.exact_counts(3_000).tolist() == \
+            _loop_counts(slow, 3_000)
+        assert _state(fast) == _state(slow)
+
+    def test_a_buffer_the_orbit_outruns_is_redrawn(self, monkeypatch):
+        monkeypatch.setattr(partitioners, "_SPARE_PER_PAIR", -1.0)
+        calls = []
+        real = partitioners._pair_orbit
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(partitioners, "_pair_orbit", spy)
+        _assert_skew_matches_loop(8, 20_000, seed=9)
+        assert len(calls) >= 2
+
+    def test_chained_calls_continue_the_stream(self):
+        fast = make_partitioner("skew", 3, seed=13)
+        slow = make_partitioner("skew", 3, seed=13)
+        total = sum(fast.exact_counts(n) for n in (1, 700, 5_000, 623))
+        assert total.tolist() == _loop_counts(slow, 6_324)
+        assert _state(fast) == _state(slow)
+
+
+def test_fig2c_matrix_rows_match_the_loop():
+    """The shipped Fig. 2(c) 4 GB point: matrix rows == per-map loop."""
+    from repro.campaign import load_campaign
+
+    spec = (pathlib.Path(__file__).resolve().parents[2]
+            / "benchmarks" / "campaigns" / "fig2.json")
+    config = load_campaign(spec, "fig2c").points()[0].config
+    assert config.pairs_for_map(0) == FIG2C_ROW
+    clear_matrix_cache()
+    try:
+        records = compute_shuffle_matrix(config).records
+    finally:
+        clear_matrix_cache()
+    for map_id in range(2):
+        oracle = make_partitioner(config.pattern, config.num_reduces,
+                                  seed=config.seed + map_id)
+        assert records[map_id].tolist() == _loop_counts(
+            oracle, config.pairs_for_map(map_id))

@@ -291,3 +291,80 @@ class TestIntrospection:
         assert doc["status"] == "ok"
         assert doc["scheduler_alive"] is True
         assert doc["backend"] in ("filesystem", "sqlite")
+
+
+#: The request outcomes; every request counts as exactly one of them.
+OUTCOMES = ("warm_hits", "cold_misses", "coalesced", "bad_requests",
+            "rejected", "not_found")
+
+
+def assert_every_request_counted_once(service):
+    counters = service.stats()["service"]
+    assert sum(counters[name] for name in OUTCOMES) == counters["requests"]
+
+
+class TestAccounting:
+    def test_outcomes_sum_to_requests(self, tmp_path, backend_name,
+                                      monkeypatch):
+        service = BenchmarkService(store_root(tmp_path, backend_name),
+                                   policy=RetryPolicy(retries=0,
+                                                      backoff=0.0),
+                                   max_queue=1)
+        try:
+            assert service.query_point("nope").status == 400
+            assert service.lookup("deadbeef" * 8).status == 404
+            queued = service.query_point(tiny_query())
+            assert queued.status == 202  # scheduler not started yet
+            assert service.query_point(tiny_query()).status == 202
+            assert service.lookup(queued.payload["key"]).status == 202
+            full = service.query_point(tiny_query(shuffle_gb=0.03))
+            assert full.status == 503
+            service.start()
+            assert service.query_point(tiny_query(wait=True)).status == 200
+            assert service.query_point(tiny_query()).status == 200
+            assert service.lookup(queued.payload["key"]).status == 200
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("injected simulator fault")
+
+            monkeypatch.setattr(suite_mod, "_run_point", boom)
+            failed = tiny_query(shuffle_gb=0.04, wait=True)
+            assert service.query_point(failed).status == 500
+            assert service.query_point(failed).status == 500  # sticky
+            counters = service.stats()["service"]
+            assert counters["requests"] == 11
+            assert {name: counters[name] for name in OUTCOMES} == {
+                "warm_hits": 2, "cold_misses": 2, "coalesced": 4,
+                "bad_requests": 1, "rejected": 1, "not_found": 1}
+            assert_every_request_counted_once(service)
+        finally:
+            service.stop(drain=False, timeout=5.0)
+
+    def test_point_landing_after_the_lookup_is_a_warm_hit(
+            self, service, tmp_path, backend_name, monkeypatch):
+        """The straggler race: the store misses, then the ticket of the
+        point resolves and leaves the table before this request admits
+        its own. The request answers from the store and queues
+        nothing."""
+        first = service.query_point(tiny_query(wait=True))
+        assert first.status == 200
+        real_fetch = service.store.fetch_record
+        calls = []
+
+        def late_fetch(key):
+            calls.append(key)
+            return None if len(calls) == 1 else real_fetch(key)
+
+        monkeypatch.setattr(service.store, "fetch_record", late_fetch)
+        straggler = service.query_point(tiny_query(wait=True))
+        assert straggler.status == 200
+        assert straggler.payload == first.payload
+        assert len(calls) == 2
+        assert service.flight.in_flight() == 0
+        assert service.scheduler.resolved[DONE] == 1
+        counters = service._counters
+        assert counters["cold_misses"] == 1
+        assert counters["warm_hits"] == 1
+        assert ResultStore(
+            store_root(tmp_path, backend_name)).stats()["puts"] == 1
+        assert_every_request_counted_once(service)
